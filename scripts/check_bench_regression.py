@@ -17,16 +17,6 @@ change; commit the refreshed file).  The threshold can also be set via the
 ``BENCH_REGRESSION_THRESHOLD`` env var — CI uses the default 1.25, i.e.
 fail on a >25% regression.
 
-Beyond wall clock, the gate also holds the engine speedup floor: any
-current benchmark publishing ``object_vs_array_ratio`` in its
-``extra_info`` (the object/array pairs in bench_engine_hotpath) must stay
-at or above ``--ratio-floor`` (env ``BENCH_RATIO_FLOOR``, default 1.7).
-The floor is deliberately below the recorded baseline ratios (~2x): wall
-clock already catches slow drift on each side, so the floor exists to
-catch the targeted failure mode where the array engine's fast path stops
-installing (or silently degrades) while absolute timings stay within
-threshold.  ``--ratio-floor 0`` disables the check.
-
 Exit codes: 0 OK, 1 regression detected, 2 usage/IO error.
 """
 
@@ -52,29 +42,11 @@ def load(path: str) -> dict:
     return payload
 
 
-def check_ratio_floors(current: dict, floor: float) -> list[tuple[str, float]]:
-    """Return the benchmarks whose published engine speedup fell below floor.
-
-    Scans every current benchmark for an ``object_vs_array_ratio`` in its
-    ``extra_info`` and flags values below ``floor``.  Benchmarks without
-    the key (everything except the engine hot-path pairs) are ignored.
-    """
-    failures = []
-    for name in sorted(current["benchmarks"]):
-        ratio = current["benchmarks"][name].get("extra_info", {}).get(
-            "object_vs_array_ratio"
-        )
-        if ratio is not None and ratio < floor:
-            failures.append((name, ratio))
-    return failures
-
-
 def compare(
     baseline: dict,
     current: dict,
     threshold: float,
     allow_missing: bool = False,
-    ratio_floor: float = 0.0,
 ) -> int:
     base_benchmarks = baseline["benchmarks"]
     curr_benchmarks = current["benchmarks"]
@@ -115,27 +87,13 @@ def compare(
             "pass --allow-missing if intentional, or re-baseline with --update"
         )
         return 1
-    slow_ratios = check_ratio_floors(current, ratio_floor) if ratio_floor else []
-    for name, ratio in slow_ratios:
+    if regressions:
         print(
-            f"note: {name} object_vs_array_ratio {ratio:.2f} is below the "
-            f"{ratio_floor:.2f} floor"
+            f"\nFAIL: {len(regressions)} benchmark(s) regressed beyond "
+            f"{threshold:.2f}x:"
         )
-    if regressions or slow_ratios:
-        if regressions:
-            print(
-                f"\nFAIL: {len(regressions)} benchmark(s) regressed beyond "
-                f"{threshold:.2f}x:"
-            )
-            for name, ratio in regressions:
-                print(f"  {name}: {ratio:.2f}x")
-        if slow_ratios:
-            print(
-                f"\nFAIL: {len(slow_ratios)} benchmark(s) lost the array-engine "
-                f"speedup floor ({ratio_floor:.2f}x):"
-            )
-            for name, ratio in slow_ratios:
-                print(f"  {name}: {ratio:.2f}x")
+        for name, ratio in regressions:
+            print(f"  {name}: {ratio:.2f}x")
         print(
             "If intentional, re-baseline with "
             "'python scripts/check_bench_regression.py --update' and commit."
@@ -163,18 +121,10 @@ def main(argv=None) -> int:
         "--allow-missing", action="store_true",
         help="tolerate baseline benchmarks that were not run (default: fail)",
     )
-    parser.add_argument(
-        "--ratio-floor",
-        type=float,
-        default=float(os.environ.get("BENCH_RATIO_FLOOR", "1.7")),
-        help="minimum published object_vs_array_ratio (0 disables)",
-    )
     args = parser.parse_args(argv)
 
     if args.threshold <= 0:
         parser.error("--threshold must be positive")
-    if args.ratio_floor < 0:
-        parser.error("--ratio-floor must be non-negative")
     if args.update:
         load(args.current)  # validate before clobbering the baseline
         shutil.copyfile(args.current, args.baseline)
@@ -182,7 +132,7 @@ def main(argv=None) -> int:
         return 0
     return compare(
         load(args.baseline), load(args.current), args.threshold,
-        allow_missing=args.allow_missing, ratio_floor=args.ratio_floor,
+        allow_missing=args.allow_missing,
     )
 
 

@@ -2,10 +2,10 @@
 
 Three passes over a reduced paper-baseline grid:
 
-1. **Engine trace parity** — the same cell run through the object and the
-   array engine with in-memory tracers must produce *identical* typed
-   event streams (kinds, times, lanes, payloads), for every registered
-   protocol family.
+1. **Trace determinism and neutrality** — for every registered protocol
+   family, the same cell traced twice with in-memory tracers must produce
+   *identical* typed event streams (kinds, times, lanes, payloads), and
+   the traced summary must equal the untraced one.
 2. **Trace-file integrity** — a traced ``run_sweep`` must leave a JSONL
    file where every line parses as either a ``cell_start`` marker or a
    schema-valid :class:`~repro.telemetry.events.TraceEvent`, with one
@@ -23,12 +23,13 @@ Exit codes: 0 all passes clean, 1 any failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.runner import run_instrumented, run_sweep
+from repro.experiments.runner import run_instrumented, run_once, run_sweep
 from repro.protocols.registry import available_protocols, protocol_spec
 from repro.results import RunStore
 from repro.telemetry.events import TraceEvent, is_marker, iter_trace
@@ -55,32 +56,39 @@ def main(argv=None) -> int:
     config = get_scenario("paper-baseline").to_config(**scale)
     failures: list[str] = []
 
-    # Pass 1: per-protocol trace parity across engines.
+    # Pass 1: per-protocol trace determinism and tracing neutrality.
     t0 = time.perf_counter()
     for name in available_protocols():
-        streams = {}
-        for engine in ("object", "array"):
+        factory = protocol_spec(name)
+        streams, summaries = [], []
+        for _ in range(2):
             tracer = MemoryTracer()
-            run_instrumented(
-                protocol_spec(name), config, arrival_rate=rates[-1],
-                engine=engine, tracer=tracer,
+            summary, _ = run_instrumented(
+                factory, config, arrival_rate=rates[-1], tracer=tracer,
             )
-            streams[engine] = tracer.dicts()
-        if not streams["object"]:
-            failures.append(f"{name}: empty trace stream (vacuous parity)")
-        elif streams["object"] != streams["array"]:
+            streams.append(tracer.dicts())
+            summaries.append(dataclasses.asdict(summary))
+        if not streams[0]:
+            failures.append(f"{name}: empty trace stream (vacuous check)")
+        elif streams[0] != streams[1]:
             diffs = [
-                (obj, arr)
-                for obj, arr in zip(streams["object"], streams["array"])
-                if obj != arr
+                (first, second)
+                for first, second in zip(*streams)
+                if first != second
             ]
             failures.append(
-                f"{name}: {len(diffs)} trace event(s) differ between "
-                f"engines (first: {diffs[0] if diffs else 'length mismatch'})"
+                f"{name}: {len(diffs)} trace event(s) differ between two "
+                f"traced runs (first: "
+                f"{diffs[0] if diffs else 'length mismatch'})"
             )
+        untraced = dataclasses.asdict(
+            run_once(factory, config, arrival_rate=rates[-1])
+        )
+        if summaries[0] != untraced:
+            failures.append(f"{name}: traced summary != untraced summary")
     print(
-        f"pass 1: {len(available_protocols())} protocols trace-diffed "
-        f"across both engines in {time.perf_counter() - t0:.1f}s"
+        f"pass 1: {len(available_protocols())} protocols traced twice and "
+        f"diffed against untraced runs in {time.perf_counter() - t0:.1f}s"
     )
 
     # Passes 2+3: a traced, stored sweep; validate the file and the records.
@@ -139,7 +147,7 @@ def main(argv=None) -> int:
         for line in failures[:20]:
             print(f"  {line}")
         return 1
-    print("OK: traces engine-identical, files schema-valid, records telemetered")
+    print("OK: traces deterministic, files schema-valid, records telemetered")
     return 0
 
 

@@ -45,12 +45,11 @@ invariants checkable in one place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.conflict_table import AccessIndex, ConflictTable
 from repro.core.deferral import ImmediateCommit, TerminationPolicy
 from repro.core.shadow import Shadow, ShadowMode
-from repro.engine.kernels import select_replacement
 from repro.errors import InvariantViolation, ProtocolError
 from repro.protocols.base import CCProtocol, Execution, ExecutionState
 from repro.txn.spec import Step, TransactionSpec
@@ -60,6 +59,38 @@ from repro.txn.spec import Step, TransactionSpec
 _DONOR_STATES = frozenset(
     (ExecutionState.RUNNING, ExecutionState.BLOCKED, ExecutionState.READY)
 )
+
+
+def select_replacement(
+    survivors: Sequence[tuple[int, Shadow]], committer_id: int
+) -> Optional[tuple[int, Shadow]]:
+    """Pick the speculative shadow promoted by the Commit Rule.
+
+    The latest position wins; among equals, the shadow that speculated on
+    the committing transaction itself is preferred (Commit Rule case 1),
+    then creation order (smallest ``serial``) breaks the remaining tie.
+
+    Parameters
+    ----------
+    survivors : sequence of (writer, shadow)
+        Live speculative shadows keyed by the conflicting writer each one
+        hedges against; shadows expose ``pos`` and ``serial``.
+    committer_id : int
+        The transaction that just committed.
+
+    Returns
+    -------
+    The chosen ``(writer, shadow)`` pair, or ``None`` when no speculative
+    shadow survived (the transaction must restart from scratch).
+    """
+    if not survivors:
+        return None
+
+    def rank(item: tuple[int, Shadow]) -> tuple:
+        writer, shadow = item
+        return (shadow.pos, writer == committer_id, -shadow.serial)
+
+    return max(survivors, key=rank)
 
 
 @dataclass
@@ -134,28 +165,6 @@ class SCCProtocolBase(CCProtocol):
         #: Live shadow count across all runtimes, maintained by _emit for
         #: the ``peak_live_shadows`` telemetry gauge.
         self._live_shadow_count = 0
-
-    def bind(self, system) -> None:
-        """Attach to a system, then try to install the fused fast path.
-
-        On an :class:`~repro.engine.array.ArraySimulator` with infinite
-        resources and no subclass hook overrides,
-        :func:`repro.engine.shadow_pool.maybe_install_fast_path` rebinds
-        the hot step-loop entry points to the fused shadow-pool driver
-        (bit-identical, ~3x fewer Python frames per page access).  Any
-        ineligible configuration keeps the generic loop.
-
-        Parameters
-        ----------
-        system : RTDBSystem
-            The fully constructed system model.
-        """
-        super().bind(system)
-        # Imported lazily: shadow_pool imports this module's class for
-        # its eligibility check, and the fast path is array-engine-only.
-        from repro.engine.shadow_pool import maybe_install_fast_path
-
-        maybe_install_fast_path(self, system)
 
     #: Observer kinds that map onto SCC-specific trace events.  The
     #: remaining kinds ("block", "finish", "commit") are already traced
@@ -462,11 +471,11 @@ class SCCProtocolBase(CCProtocol):
             )
         written = self._index.written_by(writer)
         first_pos = conflict.first_pos
-        # Single-pass inline of live_shadows + the donor filter +
-        # kernels.select_fork_donor (largest pos, smallest serial): the
-        # donor-state filter subsumes live_shadows' aliveness check, and
-        # the (pos, -serial) maximum is order-independent, so the scan
-        # is equivalent to filtering a materialized candidate list.
+        # Fork-donor choice in one pass: the latest valid donor wins
+        # (largest pos), creation order (smallest serial) breaks ties.
+        # The donor-state filter subsumes live_shadows' aliveness check,
+        # and the (pos, -serial) maximum is order-independent, so the
+        # scan is equivalent to filtering a materialized candidate list.
         donor = None
         for shadow in (
             runtime.optimistic,

@@ -1,35 +1,21 @@
 """Discrete-event simulation kernel.
 
-This package is the substrate every experiment runs on: the pure
-state-transition kernels both engines share
-(:mod:`repro.engine.kernels`), a deterministic event queue
-(:mod:`repro.engine.events`), the reference simulator loop and clock
-(:mod:`repro.engine.simulator`), the array-native engine
-(:mod:`repro.engine.array`), and named reproducible random streams
+This package is the substrate every experiment runs on: a deterministic
+event queue (:mod:`repro.engine.events`), the simulator loop and clock
+(:mod:`repro.engine.simulator`), and named reproducible random streams
 (:mod:`repro.engine.rng`).
 
-Engine selection happens through :func:`~repro.engine.array.build_simulator`;
-both engines fire events in the identical ``(time, priority, sequence)``
-total order, so simulation results are bit-identical across them.
+Events fire in the ``(time, priority, sequence)`` total order, so a run
+is bit-for-bit reproducible for a given seed.
 """
 
-from repro.engine.array import (
-    ENGINE_NAMES,
-    ArraySimulator,
-    WorkloadTensors,
-    build_simulator,
-)
 from repro.engine.events import Event, EventQueue
 from repro.engine.rng import RandomStreams
 from repro.engine.simulator import Simulator
 
 __all__ = [
-    "ENGINE_NAMES",
-    "ArraySimulator",
     "Event",
     "EventQueue",
     "RandomStreams",
     "Simulator",
-    "WorkloadTensors",
-    "build_simulator",
 ]

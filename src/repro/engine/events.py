@@ -25,8 +25,26 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Optional
 
-from repro.engine.kernels import event_sort_position, fires_before
 from repro.errors import SimulationError
+
+
+def event_sort_position(
+    time: float, priority: int, sequence: int
+) -> tuple[float, int, int]:
+    """The total-order key of one scheduled event.
+
+    Events fire in ascending ``(time, priority, sequence)`` order; the
+    unique sequence number makes the order total, which is what makes
+    whole simulation runs bit-for-bit reproducible.
+    """
+    return (time, priority, sequence)
+
+
+def fires_before(
+    a: tuple[float, int, int], b: tuple[float, int, int]
+) -> bool:
+    """Whether event key ``a`` fires strictly before event key ``b``."""
+    return a < b
 
 
 class Event:
@@ -75,10 +93,9 @@ class Event:
         self._cancelled = True
 
     def sort_position(self) -> tuple[float, int, int]:
-        """The event's position in the engine-wide total order.
+        """The event's position in the total firing order.
 
-        Delegates to :func:`repro.engine.kernels.event_sort_position`, the
-        ordering kernel both engines share.
+        See :func:`event_sort_position`.
         """
         return event_sort_position(self.time, self.priority, self.sequence)
 

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from repro.engine.array import ENGINE_NAMES
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig, baseline_config
 from repro.experiments.runner import (
@@ -67,10 +67,14 @@ _SPEC_KEYS = frozenset(
         "workers",
         "store",
         "store_backend",
-        "engine",
         "telemetry",
     }
 )
+
+#: Values of the retired ``engine`` key that specs written by earlier
+#: versions may carry; :meth:`ExperimentSpec.from_dict` drops them with
+#: a :class:`DeprecationWarning` (a ``null`` value is dropped silently).
+_LEGACY_ENGINES = frozenset({"object", "array"})
 
 #: Keys an ``ExperimentSpec.telemetry`` block may carry.
 _TELEMETRY_KEYS = frozenset({"trace", "log_level"})
@@ -106,16 +110,10 @@ class ExperimentSpec:
             (:data:`~repro.results.backends.STORE_BACKENDS` name) for a
             path-given store; ``None`` lets the path decide (existing
             files are sniffed by content, new paths by extension).
-        engine: Default simulation engine (``"object"`` / ``"array"``);
-            ``None`` means the reference object engine.  Part of the
-            execution policy, *not* of the experiment identity: engines
-            are bit-identical, so the choice never enters the run-store
-            fingerprint.
         telemetry: Default observability policy — a dict with optional
             ``"trace"`` (JSONL trace-file path) and ``"log_level"``
             (:data:`~repro.telemetry.log.LOG_LEVELS` name) keys, or
-            ``None`` for no telemetry.  Like ``engine``, pure execution
-            policy: tracing never perturbs results, so the block never
+            ``None`` for no telemetry.  Pure execution policy: tracing never perturbs results, so the block never
             enters the fingerprint.
     """
 
@@ -131,15 +129,9 @@ class ExperimentSpec:
     workers: Optional[int] = None
     store: Optional[str] = None
     store_backend: Optional[str] = None
-    engine: Optional[str] = None
     telemetry: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; choose from "
-                f"{list(ENGINE_NAMES)}"
-            )
         if self.store_backend is not None:
             from repro.results.backends import STORE_BACKENDS
 
@@ -248,7 +240,6 @@ class ExperimentSpec:
             "workers": self.workers,
             "store": self.store,
             "store_backend": self.store_backend,
-            "engine": self.engine,
             "telemetry": self.telemetry,
         }
 
@@ -257,7 +248,9 @@ class ExperimentSpec:
         """Rebuild a spec from its :meth:`to_dict` form.
 
         Accepts the friendly shorthand forms too: protocol entries may
-        be compact spec strings, and omitted optional keys default.
+        be compact spec strings, and omitted optional keys default.  A
+        legacy ``"engine"`` key is ignored: ``None`` silently,
+        ``"object"``/``"array"`` with a :class:`DeprecationWarning`.
 
         Raises:
             ConfigurationError: Wrong schema, unknown keys, or malformed
@@ -274,6 +267,19 @@ class ExperimentSpec:
             raise ConfigurationError(
                 f"unsupported experiment-spec schema {schema!r} "
                 f"(this library reads schema {SPEC_SCHEMA})"
+            )
+        engine = data.pop("engine", None)
+        if engine is not None:
+            if engine not in _LEGACY_ENGINES:
+                raise ConfigurationError(
+                    f"unknown engine {engine!r}; choose from "
+                    f"{sorted(_LEGACY_ENGINES)}"
+                )
+            warnings.warn(
+                "the experiment-spec 'engine' key is deprecated and "
+                "ignored: every run uses the single simulation engine",
+                DeprecationWarning,
+                stacklevel=2,
             )
         unknown = set(data) - _SPEC_KEYS
         if unknown:
@@ -308,7 +314,6 @@ class ExperimentSpec:
             workers=data.get("workers"),
             store=data.get("store"),
             store_backend=data.get("store_backend"),
-            engine=data.get("engine"),
             telemetry=data.get("telemetry"),
         )
 
@@ -398,7 +403,6 @@ class ExperimentSpec:
         progress=None,
         on_progress=None,
         config: Optional[ExperimentConfig] = None,
-        engine: Optional[str] = None,
         trace: "str | os.PathLike | None" = None,
         on_event=None,
         **config_overrides: Any,
@@ -407,7 +411,7 @@ class ExperimentSpec:
 
         Keyword arguments override the spec's own execution policy
         (``executor``/``workers``/``store``/``store_backend``/
-        ``engine``/``telemetry``) for this invocation only;
+        ``telemetry``) for this invocation only;
         ``config_overrides`` pass to :meth:`to_config` (e.g.
         ``num_transactions=200`` for a smoke run).  A caller that
         already built the config (to print status from it, say) can pass
@@ -438,7 +442,6 @@ class ExperimentSpec:
                 if store_backend is not None
                 else self.store_backend
             ),
-            engine=engine if engine is not None else self.engine,
             progress=progress,
             on_progress=on_progress,
             scenario=self.scenario_name(),
@@ -533,7 +536,6 @@ class Experiment:
             "workers",
             "store",
             "store_backend",
-            "engine",
             "telemetry",
         ):
             value = getattr(spec, name)
@@ -633,11 +635,6 @@ class Experiment:
         self._fields["store"] = os.fspath(path)
         if backend is not None:
             self._fields["store_backend"] = backend
-        return self
-
-    def engine(self, name: str) -> "Experiment":
-        """Set the simulation engine (``"object"`` / ``"array"``)."""
-        self._fields["engine"] = name
         return self
 
     def telemetry(

@@ -153,7 +153,6 @@ class ExperimentState:
         self.client = client
         self.spec = spec
         self.config = config
-        self.engine = spec.engine
         self.scenario = spec.scenario_name()
         self.factories = factories
         self.spec_map = spec_map
@@ -418,8 +417,7 @@ class GatewayApp:
                 or its dict/JSON form.  The spec's *execution policy*
                 fields (``store``/``store_backend``/``executor``/
                 ``workers``/``telemetry``) are ignored — the gateway owns
-                execution — while ``engine`` is honored per experiment
-                (engines are bit-identical, so dedup is engine-blind).
+                execution.
             client: The quota key (the ``X-Client`` header upstream).
 
         Returns:
@@ -642,7 +640,6 @@ class GatewayApp:
                 exp.config,
                 arrival_rate=cell.arrival_rate,
                 replication=cell.replication,
-                engine=exp.engine,
             )
 
         return run

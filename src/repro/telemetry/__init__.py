@@ -4,7 +4,7 @@ Four small layers, each usable alone:
 
 * :mod:`repro.telemetry.events` / :mod:`repro.telemetry.tracer` — typed
   per-run lifecycle traces (zero-cost when disabled; JSONL or in-memory
-  sinks; identical streams from both simulation engines).
+  sinks; identical streams from identical runs).
 * :mod:`repro.telemetry.counters` — always-on run counters/gauges,
   sampled into the ``telemetry`` block on stored run records.
 * :mod:`repro.telemetry.bus` — the structured sweep event stream behind

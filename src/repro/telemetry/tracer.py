@@ -75,8 +75,8 @@ class Tracer:
     Subclasses implement :meth:`record`; everything else — lane
     assignment, event construction, the context-manager protocol — is
     shared.  Lanes renumber process-global execution serials into
-    0-based first-seen order so traces are reproducible across runs and
-    comparable across engines; :meth:`reset_lanes` restarts the
+    0-based first-seen order so traces are reproducible across runs;
+    :meth:`reset_lanes` restarts the
     numbering (e.g. at sweep-cell boundaries).
     """
 
@@ -169,7 +169,7 @@ class NullTracer(Tracer):
 class MemoryTracer(Tracer):
     """A tracer that buffers events in a list (``.events``).
 
-    The workhorse for tests and the engine trace-parity suite: two runs'
+    The workhorse for tests and the trace-determinism checks: two runs'
     ``dicts()`` outputs compare with plain ``==``.
     """
 

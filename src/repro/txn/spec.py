@@ -89,30 +89,6 @@ class TransactionSpec:
     def __iter__(self) -> Iterator[Step]:
         return iter(self.steps)
 
-    def step_columns(self) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-        """Columnar view of the program: parallel (pages, write flags).
-
-        Computed once and cached on the spec, so engines that replay a
-        materialized workload across replications (the array engine's
-        tensor cache) build the columns exactly once per transaction.
-
-        Returns
-        -------
-        tuple of tuple
-            ``(pages, writes)`` where ``pages[p]`` is the page accessed
-            at position ``p`` and ``writes[p]`` its write flag.
-        """
-        try:
-            return self._columns
-        except AttributeError:
-            steps = self.steps
-            columns = (
-                tuple(step.page for step in steps),
-                tuple(step.is_write for step in steps),
-            )
-            self._columns = columns
-            return columns
-
     @property
     def read_pages(self) -> frozenset[int]:
         """All pages the full program reads (every accessed page)."""

@@ -1,7 +1,10 @@
 """Unit tests for SCC base machinery: queries and the invariant checker."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.scc_base import select_replacement
 from repro.core.scc_ks import SCCkS
 from repro.core.shadow import Shadow, ShadowMode
 from repro.errors import InvariantViolation, ProtocolError
@@ -120,3 +123,33 @@ def test_commit_of_unfinished_transaction_rejected():
     protocol, system = mid_run_protocol()
     with pytest.raises(ProtocolError):
         protocol.commit_transaction(protocol.runtime_of(0))
+
+
+# ----------------------------------------------------------------------
+# Commit Rule promotion choice
+# ----------------------------------------------------------------------
+
+
+def shadow_stub(pos, serial):
+    return SimpleNamespace(pos=pos, serial=serial)
+
+
+def test_replacement_empty_is_none():
+    assert select_replacement([], committer_id=9) is None
+
+
+def test_replacement_prefers_latest_position():
+    survivors = [(1, shadow_stub(2, 0)), (2, shadow_stub(6, 1))]
+    assert select_replacement(survivors, committer_id=1) == survivors[1]
+
+
+def test_replacement_prefers_committer_among_position_ties():
+    survivors = [(1, shadow_stub(4, 0)), (7, shadow_stub(4, 1))]
+    # Commit Rule case 1: the shadow hedging against the committer wins
+    # even though the other was created first.
+    assert select_replacement(survivors, committer_id=7) == survivors[1]
+
+
+def test_replacement_final_tie_breaks_by_creation_order():
+    survivors = [(2, shadow_stub(4, 3)), (3, shadow_stub(4, 1))]
+    assert select_replacement(survivors, committer_id=9) == survivors[1]

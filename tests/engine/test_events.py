@@ -1,8 +1,10 @@
 """Unit tests for the event queue."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.engine.events import EventQueue
+from repro.engine.events import EventQueue, event_sort_position, fires_before
 from repro.errors import SimulationError
 
 
@@ -91,3 +93,18 @@ def test_clear_drops_everything():
     queue.clear()
     assert len(queue) == 0
     assert not queue
+
+
+def test_event_sort_position_is_the_triple():
+    assert event_sort_position(1.5, 2, 9) == (1.5, 2, 9)
+
+
+@given(
+    st.tuples(st.floats(0, 100), st.integers(0, 10), st.integers(0, 1000)),
+    st.tuples(st.floats(0, 100), st.integers(0, 10), st.integers(0, 1000)),
+)
+def test_fires_before_is_lexicographic(a, b):
+    assert fires_before(a, b) == (a < b)
+    # Antisymmetry on distinct keys: exactly one direction fires first.
+    if a != b:
+        assert fires_before(a, b) != fires_before(b, a)

@@ -6,18 +6,12 @@ reduced-but-meaningful scale and serializes every :class:`RunSummary`
 field with full float precision.  JSON round-trips Python floats exactly
 (shortest-repr), so equality against the committed reference is
 *bit-identical* equality of every metric.
-
-``compute_golden_payload`` takes the engine name, so the same committed
-reference gates both the object and the array engine: any divergence
-between them (event ordering, RNG batching, workload tensors) fails the
-array run against the reference the object engine produced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Optional
 
 from repro.experiments.runner import run_sweep
 from repro.workloads.scenarios import get_scenario
@@ -57,19 +51,14 @@ def golden_protocols() -> dict:
     }
 
 
-def compute_golden_payload(
-    engine: Optional[str] = None, trace=None
-) -> dict:
+def compute_golden_payload(trace=None) -> dict:
     """Run the golden sweeps and return the JSON-serializable payload.
 
     Parameters
     ----------
-    engine : str, optional
-        Simulation engine to run under (``"object"``/``"array"``); the
-        payload must be identical regardless.
     trace : str or os.PathLike, optional
         JSONL trace-file path; when given, the sweeps run fully traced.
-        The payload must also be identical regardless — tracing draws no
+        The payload must be identical regardless — tracing draws no
         randomness and perturbs no event order, and the telemetry
         regression test holds the gate on exactly that.
     """
@@ -82,9 +71,7 @@ def compute_golden_payload(
             replications=REPLICATIONS,
             arrival_rates=ARRIVAL_RATES,
         )
-        results = run_sweep(
-            golden_protocols(), config, engine=engine, trace=trace
-        )
+        results = run_sweep(golden_protocols(), config, trace=trace)
         summaries = {
             protocol: [
                 [dataclasses.asdict(summary) for summary in per_rate]

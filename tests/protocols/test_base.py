@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import InvariantViolation, ProtocolError
-from repro.protocols.base import CCProtocol, Execution, ExecutionState
+from repro.protocols.base import (
+    CCProtocol,
+    Execution,
+    ExecutionState,
+    ReadRecord,
+    record_access,
+)
 from repro.protocols.serial import SerialExecution
 from repro.txn.generator import fixed_workload
 from tests.conftest import R, W, build_system, make_class
@@ -162,3 +168,15 @@ def test_unbound_protocol_rejected():
     protocol = Recorder()
     with pytest.raises(ProtocolError):
         protocol._require_system()
+
+
+def test_record_access_first_read_records_position():
+    record = record_access(None, pos=3, version=7, now=1.5)
+    assert record == ReadRecord(3, 7, 1.5)
+
+
+def test_record_access_reread_keeps_first_position():
+    first = record_access(None, pos=1, version=2, now=0.5)
+    second = record_access(first, pos=6, version=9, now=2.0)
+    assert second.position == 1  # first touch wins
+    assert second.version == 9 and second.time == 2.0

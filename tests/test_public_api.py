@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -136,3 +137,16 @@ def test_registry_protocol_names_match_instances():
         spec = ProtocolSpec.create(family)
         protocol = spec.build()
         assert isinstance(protocol, CCProtocol)
+
+
+def _all_modules() -> list:
+    return sorted(
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    )
+
+
+@pytest.mark.parametrize("module_name", _all_modules())
+def test_every_module_imports(module_name):
+    # A dangling import of a deleted or renamed module fails here even
+    # when no other test happens to load the importing module.
+    importlib.import_module(module_name)
