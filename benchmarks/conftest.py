@@ -54,7 +54,7 @@ def bench_config():
         warmup_commits=BENCH_WARMUP,
         replications=1,
         arrival_rates=BENCH_RATES,
-        check_serializability=False,  # measured separately in tests
+        check_serializability=False,  # timed in perfbench (analysis.serializability_s)
     )
 
 

@@ -27,7 +27,7 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "scc-experiments = repro.experiments.cli:main",

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from repro.errors import InvariantViolation
+
 
 @dataclass(frozen=True)
 class CommittedTransaction:
@@ -58,16 +60,31 @@ class History:
         reads: Mapping[int, int],
         writes: Mapping[int, int],
     ) -> None:
-        """Record one commit.  ``writes`` maps pages to installed versions."""
+        """Record one commit.  ``writes`` maps pages to installed versions.
+
+        Raises:
+            InvariantViolation: If a committed transaction already installed
+                one of the ``(page, version)`` pairs in ``writes``.
+        """
         record = CommittedTransaction(
             txn_id=txn_id,
             commit_time=commit_time,
             reads=dict(reads),
             writes=dict(writes),
         )
+        for page, version in record.writes.items():
+            if (page, version) in self._installer:
+                raise InvariantViolation(
+                    f"two transactions installed version {version} of page {page}"
+                )
         self._committed.append(record)
         for page, version in record.writes.items():
             self._installer[(page, version)] = txn_id
+
+    @property
+    def installers(self) -> Mapping[tuple[int, int], int]:
+        """``(page, version) -> txn id`` of every installed version (no v0)."""
+        return self._installer
 
     def installer_of(self, page: int, version: int) -> int | None:
         """Transaction that installed ``(page, version)``; ``None`` for v0."""

@@ -11,6 +11,11 @@ pages carrying monotone version counters:
   ``reader -> installer(p, v+1)`` (the reader serializes before the next
   writer of the page).
 
+All three are looked up in the history's own ``(page, version) ->
+installer`` map, in one pass over the committed transactions.  Acyclicity
+is decided by Kahn's topological sort, with a min-heap so that ties go to
+the smallest transaction id.
+
 Every protocol in the library must produce acyclic graphs on every
 workload; the test suite checks this property with randomized and
 hypothesis-generated workloads.
@@ -18,71 +23,72 @@ hypothesis-generated workloads.
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
-
-import networkx as nx
 
 from repro.analysis.history import History
 from repro.errors import InvariantViolation
 
 
-def precedence_graph(history: History) -> nx.DiGraph:
-    """Build the precedence graph of a committed history."""
-    graph = nx.DiGraph()
-    # Collect, per page, the installed versions and their writers, plus the
-    # readers of each version.
-    writers_by_page_version: dict[tuple[int, int], int] = {}
-    readers_by_page_version: dict[tuple[int, int], list[int]] = {}
-    max_version: dict[int, int] = {}
-    for txn in history:
-        graph.add_node(txn.txn_id)
-        for page, version in txn.writes.items():
-            key = (page, version)
-            if key in writers_by_page_version:
-                raise InvariantViolation(
-                    f"two transactions installed version {version} of page {page}"
-                )
-            writers_by_page_version[key] = txn.txn_id
-            max_version[page] = max(max_version.get(page, 0), version)
-        for page, version in txn.reads.items():
-            readers_by_page_version.setdefault((page, version), []).append(txn.txn_id)
+def precedence_graph(history: History) -> dict[int, set[int]]:
+    """Build the precedence graph of a committed history.
 
-    # write-read and read-write edges.
-    for (page, version), readers in readers_by_page_version.items():
-        writer = writers_by_page_version.get((page, version))
-        for reader in readers:
+    Returns:
+        Adjacency sets: ``graph[a]`` holds every ``b`` with an edge
+        ``a -> b``.  Every committed transaction is a key.
+
+    Raises:
+        InvariantViolation: If a transaction read a version ``v > 0`` that
+            no committed transaction installed.
+    """
+    installers = history.installers
+    graph: dict[int, set[int]] = {txn.txn_id: set() for txn in history}
+    for txn in history:
+        txn_id = txn.txn_id
+        for page, version in txn.writes.items():
+            previous = installers.get((page, version - 1))
+            if previous is not None and previous != txn_id:
+                graph[previous].add(txn_id)
+        for page, version in txn.reads.items():
             if version > 0:
+                writer = installers.get((page, version))
                 if writer is None:
                     raise InvariantViolation(
-                        f"T{reader} read version {version} of page {page}, "
+                        f"T{txn_id} read version {version} of page {page}, "
                         f"which no committed transaction installed"
                     )
-                if writer != reader:
-                    graph.add_edge(writer, reader)
-            next_writer = writers_by_page_version.get((page, version + 1))
-            if next_writer is not None and next_writer != reader:
-                graph.add_edge(reader, next_writer)
-
-    # write-write edges between consecutive versions.
-    for (page, version), writer in writers_by_page_version.items():
-        next_writer = writers_by_page_version.get((page, version + 1))
-        if next_writer is not None and next_writer != writer:
-            graph.add_edge(writer, next_writer)
+                if writer != txn_id:
+                    graph[writer].add(txn_id)
+            next_writer = installers.get((page, version + 1))
+            if next_writer is not None and next_writer != txn_id:
+                graph[txn_id].add(next_writer)
     return graph
-
-
-def check_serializable(history: History) -> bool:
-    """Whether the committed history is conflict-serializable."""
-    return nx.is_directed_acyclic_graph(precedence_graph(history))
 
 
 def serialization_order(history: History) -> Optional[list[int]]:
     """A topological serialization order, or ``None`` if the graph is cyclic.
 
-    Nodes are ordered by a deterministic topological sort (ties broken by
-    transaction id) so tests can assert on concrete orders.
+    The order is the lexicographically smallest one (Kahn's sort, ties
+    broken by transaction id) so tests can assert on concrete orders.
     """
     graph = precedence_graph(history)
-    if not nx.is_directed_acyclic_graph(graph):
-        return None
-    return list(nx.lexicographical_topological_sort(graph))
+    indegree = dict.fromkeys(graph, 0)
+    for successors in graph.values():
+        for node in successors:
+            indegree[node] += 1
+    ready = [node for node, count in indegree.items() if count == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for successor in graph[node]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                heapq.heappush(ready, successor)
+    return order if len(order) == len(graph) else None
+
+
+def check_serializable(history: History) -> bool:
+    """Whether the committed history is conflict-serializable."""
+    return serialization_order(history) is not None

@@ -25,7 +25,6 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -147,7 +146,13 @@ class ExponentialExecution(ExecutionDistribution):
 
 
 class NormalExecution(ExecutionDistribution):
-    """Execution time normal(mu, sigma) truncated to positive values."""
+    """Execution time normal(mu, sigma) truncated to positive values.
+
+    With :math:`z(x) = (x - \\mu) / (\\sigma\\sqrt{2})`, the survival is
+    :math:`\\operatorname{erfc}(z(x)) / \\operatorname{erfc}(z(0))` and the
+    mean is :math:`\\mu + \\sigma\\,\\varphi(\\alpha) / \\Phi(-\\alpha)`
+    for :math:`\\alpha = -\\mu / \\sigma`.
+    """
 
     def __init__(self, mu: float, sigma: float) -> None:
         if mu <= 0 or sigma <= 0:
@@ -157,17 +162,18 @@ class NormalExecution(ExecutionDistribution):
         self._mu = mu
         self._sigma = sigma
         # Truncation at 0: renormalize by the mass above zero.
-        self._dist = stats.truncnorm(
-            a=(0.0 - mu) / sigma, b=math.inf, loc=mu, scale=sigma
-        )
+        self._mass_above_zero = 0.5 * math.erfc(-mu / (sigma * math.sqrt(2.0)))
 
     def survival(self, x: float) -> float:
         if x <= 0:
             return 1.0
-        return float(self._dist.sf(x))
+        tail = 0.5 * math.erfc((x - self._mu) / (self._sigma * math.sqrt(2.0)))
+        return tail / self._mass_above_zero
 
     def mean(self) -> float:
-        return float(self._dist.mean())
+        alpha = -self._mu / self._sigma
+        density = math.exp(-0.5 * alpha * alpha) / math.sqrt(2.0 * math.pi)
+        return self._mu + self._sigma * density / self._mass_above_zero
 
 
 class EmpiricalExecution(ExecutionDistribution):

@@ -1,10 +1,16 @@
 """Unit tests for confidence intervals."""
 
+import statistics
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.metrics.confidence import mean_confidence_interval
+from repro.metrics.confidence import (
+    mean_confidence_interval,
+    student_t_cdf,
+    student_t_ppf,
+)
 
 
 def test_single_sample_degenerate():
@@ -64,3 +70,48 @@ def test_invalid_inputs_rejected():
         mean_confidence_interval([])
     with pytest.raises(ConfigurationError):
         mean_confidence_interval([1.0], level=1.5)
+
+
+@pytest.mark.parametrize(
+    "p, df, expected",
+    [(0.95, 2, 2.919986), (0.975, 10, 2.228139), (0.995, 30, 2.749996)],
+)
+def test_textbook_t_values(p, df, expected):
+    assert student_t_ppf(p, df) == pytest.approx(expected, abs=5e-7)
+
+
+# Reference quantiles recorded from scipy.stats.t.ppf (SciPy 1.17.1).
+@pytest.mark.parametrize(
+    "p, df, expected",
+    [
+        (0.95, 2, 2.9199855803537242),
+        (0.975, 10, 2.228138851986274),
+        (0.995, 30, 2.7499956535672254),
+        (0.9, 1, 3.0776835371752544),
+        (0.95, 4, 2.1318467863266495),
+        (0.8, 7, 0.8960296443137653),
+        (0.999, 59, 3.2342073444472925),
+        (0.95, 999, 1.646380345427535),
+    ],
+)
+def test_t_quantiles_match_reference(p, df, expected):
+    assert student_t_ppf(p, df) == pytest.approx(expected, rel=1e-12)
+    assert student_t_ppf(1.0 - p, df) == pytest.approx(-expected, rel=1e-12)
+
+
+def test_t_quantile_approaches_normal():
+    z = statistics.NormalDist().inv_cdf(0.95)
+    gaps = [student_t_ppf(0.95, df) - z for df in (9, 99, 999)]
+    assert gaps[0] > gaps[1] > gaps[2] > 0.0
+    assert gaps[2] < 2e-3
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 30, 999])
+@pytest.mark.parametrize("p", [0.5, 0.8, 0.9, 0.95, 0.975, 0.999])
+def test_t_cdf_inverts_ppf(p, df):
+    assert student_t_cdf(student_t_ppf(p, df), df) == pytest.approx(p, abs=1e-12)
+
+
+def test_t_ppf_rejects_bad_level():
+    with pytest.raises(ConfigurationError):
+        student_t_ppf(1.0, 3)

@@ -1,12 +1,18 @@
 """The public API surface: everything advertised imports and is documented."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_exports_resolve():
@@ -150,3 +156,39 @@ def test_every_module_imports(module_name):
     # A dangling import of a deleted or renamed module fails here even
     # when no other test happens to load the importing module.
     importlib.import_module(module_name)
+
+
+def _install_requires() -> set:
+    tree = ast.parse((REPO_ROOT / "setup.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "install_requires":
+            requirements = ast.literal_eval(node.value)
+            return {
+                re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in requirements
+            }
+    return set()
+
+
+def test_imports_are_stdlib_or_declared():
+    # An import of a package that setup.py does not declare works on a
+    # box that happens to have it and breaks a clean `pip install -e .`.
+    allowed = set(sys.stdlib_module_names) | {"repro"} | _install_requires()
+    undeclared = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in allowed:
+                    undeclared.append(f"{path.relative_to(REPO_ROOT)}: {name}")
+    assert undeclared == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    assert _install_requires() == {"numpy"}

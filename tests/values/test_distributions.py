@@ -80,6 +80,36 @@ class TestNormal:
         with pytest.raises(ConfigurationError):
             NormalExecution(mu=0.0, sigma=1.0)
 
+    # Reference values recorded from scipy.stats.truncnorm(a=-mu/sigma,
+    # b=inf, loc=mu, scale=sigma) (SciPy 1.17.1): mean, then sf at x.
+    @pytest.mark.parametrize(
+        "mu, sigma, mean, survival",
+        [
+            (1.0, 2.0, 2.018320867674067, {
+                0.5: 0.8658551392360663, 1.0: 0.723105053423659,
+                2.5: 0.32775076749547544, 5.0: 0.03290147075556683,
+                12.0: 2.7462897162775264e-08,
+            }),
+            (10.0, 3.0, 10.004628823033226, {
+                0.5: 0.9996579287795351, 5.0: 0.9526183784860679,
+                12.0: 0.2526009185812152,
+            }),
+            (0.5, 1.0, 1.0091604338370335, {
+                1.0: 0.44621010684731793, 5.0: 4.913749212748108e-06,
+                12.0: 9.538871327824557e-31,
+            }),
+            (3.0, 0.5, 3.0000000030379415, {
+                1.0: 0.9999683297447233, 2.5: 0.8413447468986033,
+                12.0: 9.740948928546966e-73,
+            }),
+        ],
+    )
+    def test_matches_reference(self, mu, sigma, mean, survival):
+        dist = NormalExecution(mu=mu, sigma=sigma)
+        assert dist.mean() == pytest.approx(mean, rel=1e-12)
+        for x, expected in survival.items():
+            assert dist.survival(x) == pytest.approx(expected, rel=1e-12)
+
 
 class TestEmpirical:
     def test_survival_from_samples(self):
