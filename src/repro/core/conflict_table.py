@@ -17,15 +17,20 @@ Two structures:
 Both structures are *precomputed indices*: every page keeps its reader and
 writer sets and every transaction its page maps, maintained incrementally
 on each access, so the Read/Write Rule detection queries are dictionary
-probes rather than scans over active transactions.  The ``*_view``
-accessors expose the internal sets without copying for the per-access hot
-path; the copying accessors remain the safe public API.
+probes rather than scans over active transactions.  The copying
+accessors are the safe public API; ``readers_view`` exposes a reader set
+without copying.
+
+The SCC step loop (:class:`~repro.core.scc_base.SCCProtocolBase`) runs
+:meth:`AccessIndex.add_read` and the per-access writer probes inline on
+the index's dictionaries, once per simulated page access, with exactly
+their semantics; a change to the layout here must be made there too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.errors import InvariantViolation
 
@@ -147,6 +152,18 @@ class ConflictTable:
             return True
         return False
 
+    def earliest(self) -> Optional[ConflictRecord]:
+        """The record with the smallest ``(first_pos, writer)``, or ``None``.
+
+        The head of :meth:`records` without sorting the table (the keys
+        are unique, so the minimum is the sorted head).
+        """
+        return min(
+            self._records.values(),
+            key=lambda r: (r.first_pos, r.writer),
+            default=None,
+        )
+
     def _sorted_records(self) -> list[ConflictRecord]:
         """The cached (first_pos, writer)-sorted records.
 
@@ -261,22 +278,14 @@ class AccessIndex:
         """Return a copy of the uncommitted readers of ``page``."""
         return set(self._page_readers.get(page, _EMPTY))
 
-    def writers_view(self, page: int):
-        """Return the internal writer set of ``page`` without copying.
+    def readers_view(self, page: int):
+        """Return the internal reader set of ``page`` without copying.
 
         Returns
         -------
         collection of int
             The live internal set (or a shared empty tuple).  Callers
-            MUST NOT mutate it and MUST NOT hold it across index updates;
-            it is a read-only view for the per-access hot path.
-        """
-        return self._page_writers.get(page, _EMPTY)
-
-    def readers_view(self, page: int):
-        """Return the internal reader set of ``page`` without copying.
-
-        See :meth:`writers_view` for the (non-)aliasing contract.
+            MUST NOT mutate it and MUST NOT hold it across index updates.
         """
         return self._page_readers.get(page, _EMPTY)
 
@@ -322,26 +331,3 @@ class AccessIndex:
             raise InvariantViolation(
                 f"no recorded read of page {page} by T{txn_id}"
             ) from None
-
-    def blocked_page_for(self, txn_id: int, wait_for: Iterable[int]) -> set[int]:
-        """Return pages written by any transaction in ``wait_for``.
-
-        Parameters
-        ----------
-        txn_id : int
-            The waiting transaction (unused; kept for signature
-            compatibility).
-        wait_for : iterable of int
-            The speculated wait set.
-
-        Returns
-        -------
-        set of int
-            Union of the writers' write sets (the blocking pages).
-        """
-        pages: set[int] = set()
-        for writer in wait_for:
-            writes = self._txn_writes.get(writer)
-            if writes:
-                pages |= writes
-        return pages

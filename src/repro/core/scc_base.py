@@ -1,22 +1,32 @@
 """Shared SCC machinery: the five rules of SCC-kS (paper §2.1).
 
-This base class implements the paper's rules as event-driven hooks over the
-generic execution framework:
+This base class runs its own step loop.  It overrides the generic
+``_advance``/``_complete_step`` of :class:`~repro.protocols.base.CCProtocol`
+with one fused pair that applies the per-access rules inline, so a
+simulated page access costs two SCC frames plus the resource request
+instead of a chain of hook calls:
+
+    _start -> _advance [Blocking Rule | Read Rule] -> resources.request ->
+    _complete_step [index the read, Read Rule re-check, Write Rule] ->
+    _advance ...
+
+The rules:
 
 * **Start Rule** — ``on_arrival`` creates the optimistic shadow.
-* **Read Rule** — a read-after-write conflict is detected in
-  ``before_step`` of the optimistic shadow, *before* the exposing read
-  happens; speculation is rebuilt so a shadow can fork off the optimistic
-  at the current position (it blocks immediately, the paper's "forked off
-  T_o_r").
+* **Read Rule** — a read-after-write conflict is detected in ``_advance``
+  of the optimistic shadow, *before* the exposing read happens;
+  speculation is rebuilt so a shadow can fork off the optimistic at the
+  current position (it blocks immediately, the paper's "forked off
+  T_o_r").  ``_complete_step`` re-checks the read against writes recorded
+  while it was in service.
 * **Write Rule** — a write-after-read conflict is detected in
-  ``after_step`` of any shadow performing a write; the affected *reader*
-  transaction's speculation is rebuilt, forking from the latest valid
-  donor before the conflict position, or from scratch (the paper's "create
-  a new copy of the reader transaction"), including the Figure 5/6
-  replacement adjustments.
-* **Blocking Rule** — a speculative shadow is blocked in ``before_step``
-  the first time it would read a page written by a transaction in its
+  ``_complete_step`` of any shadow performing a write; the affected
+  *reader* transaction's speculation is rebuilt, forking from the latest
+  valid donor before the conflict position, or from scratch (the paper's
+  "create a new copy of the reader transaction"), including the Figure
+  5/6 replacement adjustments.
+* **Blocking Rule** — a speculative shadow is blocked in ``_advance`` the
+  first time it would read a page written by a transaction in its
   ``wait_for`` set.
 * **Commit Rule** — :meth:`commit_transaction` installs the committing
   shadow, kills every shadow *anywhere* that read a now-stale page
@@ -27,7 +37,9 @@ generic execution framework:
   and is therefore dead, the latest-blocked survivor *is* the shadow that
   waited on the committer whenever one exists — uniformly realizing both
   cases of the paper's Commit Rule (Figures 7 and 8).  With no survivor
-  the transaction restarts from scratch (OCC-BC behaviour).
+  the transaction restarts from scratch (OCC-BC behaviour).  The sweep
+  over other transactions visits only those a reverse conflict index and
+  the installed pages' readers name, when the coverage policy allows it.
 
 Deciding *when* a finished optimistic shadow commits is delegated to a
 :class:`~repro.core.deferral.TerminationPolicy`: immediate for
@@ -40,6 +52,10 @@ which reconciles the live shadow set against the *desired coverage*
 Read and Write Rules, LBFO replacement, and post-commit re-speculation are
 all "conflict table changed → rebuild" under the hood, which keeps the
 invariants checkable in one place.
+
+The step loop reads and updates the
+:class:`~repro.core.conflict_table.AccessIndex` dictionaries directly
+rather than through its methods; that module documents their meaning.
 """
 
 from __future__ import annotations
@@ -51,14 +67,18 @@ from repro.core.conflict_table import AccessIndex, ConflictTable
 from repro.core.deferral import ImmediateCommit, TerminationPolicy
 from repro.core.shadow import Shadow, ShadowMode
 from repro.errors import InvariantViolation, ProtocolError
-from repro.protocols.base import CCProtocol, Execution, ExecutionState
-from repro.txn.spec import Step, TransactionSpec
+from repro.protocols.base import CCProtocol, Execution, ExecutionState, ReadRecord
+from repro.txn.spec import TransactionSpec
 
 #: States a shadow may be in to serve as a fork donor: it must still be
 #: executing (or about to) so the copied prefix is a live computation.
 _DONOR_STATES = frozenset(
     (ExecutionState.RUNNING, ExecutionState.BLOCKED, ExecutionState.READY)
 )
+
+# Step-loop constants: module globals load faster than enum attributes.
+_RUNNING = ExecutionState.RUNNING
+_SPECULATIVE = ShadowMode.SPECULATIVE
 
 
 def select_replacement(
@@ -165,6 +185,10 @@ class SCCProtocolBase(CCProtocol):
         #: Live shadow count across all runtimes, maintained by _emit for
         #: the ``peak_live_shadows`` telemetry gauge.
         self._live_shadow_count = 0
+        #: Reverse conflict index: writer id -> ids of the transactions
+        #: whose conflict table may name that writer (see
+        #: :meth:`_note_conflict`).  It prunes the Commit Rule sweep.
+        self._conflict_readers: dict[int, set[int]] = {}
 
     #: Observer kinds that map onto SCC-specific trace events.  The
     #: remaining kinds ("block", "finish", "commit") are already traced
@@ -285,140 +309,213 @@ class SCCProtocolBase(CCProtocol):
         self._start(optimistic)
 
     # ------------------------------------------------------------------
-    # Read + Blocking Rules (before the access)
+    # the fused step loop: Read, Blocking and Write Rules
     # ------------------------------------------------------------------
 
-    def before_step(self, execution: Execution, step: Step) -> bool:
-        """Apply the Read Rule (optimistic) or Blocking Rule (speculative).
+    def _start(self, execution: Execution) -> None:
+        """Begin (or restart) driving a shadow.
+
+        Every shadow enters the step loop here, so this is where the
+        loop checks that it only ever drives :class:`Shadow` executions.
+
+        Raises
+        ------
+        ProtocolError
+            If ``execution`` is not a shadow, or is dead.
+        """
+        super()._start(self._as_shadow(execution))
+
+    def _advance(self, execution: Shadow) -> None:
+        """Drive the next step of a running shadow (or finish it).
+
+        The generic advance with the SCC rules that run *before* an
+        access inlined:
+
+        * **Blocking Rule** (speculative shadow) — stop just before
+          reading a page a transaction in ``wait_for`` wrote.
+        * **Read Rule** (optimistic shadow) — record a read-after-write
+          conflict with every other writer of the page and rebuild
+          speculation, *before* the exposing read, so a shadow forked
+          here can still block ahead of it (the paper's "forked off
+          T_o_r").
 
         Parameters
         ----------
-        execution : Execution
-            The shadow about to perform ``step`` (must be a
-            :class:`~repro.core.shadow.Shadow`).
-        step : Step
-            The page access about to happen.
+        execution : Shadow
+            The RUNNING shadow to drive.
 
-        Returns
-        -------
-        bool
-            ``False`` when the Blocking Rule stopped a speculative shadow
-            just before it would read a waited-on writer's page; ``True``
-            to let the access proceed.
-
-        Notes
-        -----
-        Invariant preserved: conflict detection runs *before* the exposing
-        read, so a shadow forked here can still block ahead of it — the
-        paper's "forked off T_o_r" construction.
+        Raises
+        ------
+        ProtocolError
+            If the shadow is not RUNNING.
         """
-        shadow = self._as_shadow(execution)
-        runtime = self._runtimes[shadow.txn.txn_id]
-        page = step.page
-        if shadow.mode is ShadowMode.SPECULATIVE:
-            # Blocking Rule: stop before reading anything a waited-on
-            # transaction writes.
-            for writer in shadow.wait_for:
-                if self._index.writes_page(writer, page):
-                    self._block(shadow)
-                    self._emit("block", shadow.txn.txn_id, shadow)
-                    return False
-            return True
-        # Optimistic shadow: Read Rule conflict detection, *before* the
-        # exposing read, so a forked shadow can still block ahead of it.
-        # The writer view is the precomputed page index — no copy, no scan;
-        # conflicts.record never mutates the index, so iterating the live
-        # set is safe.
-        changed = False
-        txn_id = runtime.txn_id
-        conflicts = runtime.conflicts
-        for writer in self._index.writers_view(page):
-            if writer == txn_id:
-                continue
-            if conflicts.record(writer, page, shadow.pos):
-                changed = True
-        if changed:
-            self._rebuild_speculation(runtime)
-        return True
+        if execution.state is not _RUNNING:
+            raise ProtocolError(f"cannot advance {execution!r}")
+        pos = execution.pos
+        if pos >= execution.num_steps:
+            self._finish(execution)
+            return
+        page = execution.txn.steps[pos].page
+        if execution.mode is _SPECULATIVE:
+            txn_writes = self._index._txn_writes
+            for writer in execution.wait_for:
+                writes = txn_writes.get(writer)
+                if writes is not None and page in writes:
+                    self._block(execution)
+                    self._emit("block", execution.txn.txn_id, execution)
+                    return
+        else:
+            # conflicts.record never mutates the index, so iterating the
+            # live writer set is safe.
+            writers = self._index._page_writers.get(page)
+            if writers:
+                runtime = self._runtimes[execution.txn.txn_id]
+                txn_id = runtime.txn_id
+                conflicts = runtime.conflicts
+                changed = False
+                for writer in writers:
+                    if writer != txn_id and conflicts.record(writer, page, pos):
+                        changed = True
+                        self._note_conflict(writer, txn_id)
+                if changed:
+                    self._rebuild_speculation(runtime)
+        execution.step_started_at = self._sim.now
+        self._resources.request(
+            execution, self._complete_step, execution, execution.epoch
+        )
 
-    # ------------------------------------------------------------------
-    # Write Rule (after the access)
-    # ------------------------------------------------------------------
+    def _complete_step(self, execution: Shadow, epoch: int) -> None:
+        """Record a serviced access, apply the after-access rules, go on.
 
-    def after_step(self, execution: Execution, step: Step) -> None:
-        """Apply the Write Rule and the completion-time Read Rule re-check.
+        The generic completion (readset entry, first-write record,
+        position and work) with the SCC rules that run *after* an access
+        inlined:
+
+        * the global :class:`AccessIndex` learns of the read here, at
+          completion time;
+        * **Read Rule, completion-time half** — a write recorded while
+          this read was in service is re-checked, and a speculative
+          shadow that read a page its own wait set wrote is replaced
+          (paper Figure 5);
+        * **Write Rule** — the first write of a page by this transaction
+          is broadcast to the conflict table of every prior reader.
 
         Parameters
         ----------
-        execution : Execution
-            The shadow whose access just completed (already recorded in
-            its read/write sets).
-        step : Step
-            The completed access.
-
-        Notes
-        -----
-        Invariants preserved: the global :class:`AccessIndex` learns of
-        the read *here* (completion time), so detection windows opened
-        while the read was in flight are re-checked; a write is broadcast
-        to every prior reader's conflict table exactly once (first write
-        of the page by this transaction).
+        execution : Shadow
+            The shadow whose page access finished service.
+        epoch : int
+            The epoch captured when service was requested; a mismatch
+            means the shadow was aborted/blocked in service and the
+            completion is dropped.
         """
-        shadow = self._as_shadow(execution)
-        runtime = self._runtimes[shadow.txn.txn_id]
-        txn_id = runtime.txn_id
-        index = self._index
+        if execution.epoch != epoch or execution.state is not _RUNNING:
+            return  # the shadow was aborted/blocked while in service
+        pos = execution.pos
+        step = execution.txn.steps[pos]
         page = step.page
-        record = shadow.readset[page]
-        position = record.position
-        index.add_read(txn_id, page, position)
-        # Read Rule, completion-time half: a write recorded while this read
-        # was in flight (after our before_step check, before completion)
-        # would be missed by both the before_step RAW check and the
-        # writer's WAR check (our read was not yet recorded).  Re-checking
-        # here closes that window; the conflict table is idempotent.
-        changed = False
-        conflicts = runtime.conflicts
-        for writer in index.writers_view(page):
-            if writer != txn_id and conflicts.record(writer, page, position):
-                changed = True
-        # A speculative shadow may have completed a read of a page its
-        # *waited* writer wrote while the read was in flight: the writer's
-        # WAR pass ran before this read was recorded (the shadow looked
-        # valid then), and the conflict table may already know the page
-        # (no "change").  The shadow is now exposed to its own wait set —
-        # force a rebuild so it is replaced (paper Figure 5 semantics).
-        if (
-            not changed
-            and shadow.mode is ShadowMode.SPECULATIVE
-            and shadow.alive
-            and any(
-                index.writes_page(writer, page) for writer in shadow.wait_for
+        now = self._sim.now
+        readset = execution.readset
+        prior = readset.get(page)
+        position = pos if prior is None else prior[0]
+        readset[page] = ReadRecord(position, self._db.version(page), now)
+        is_write = step.is_write
+        if is_write and page not in execution.writeset:
+            execution.writeset[page] = pos
+        execution.pos = pos + 1
+        execution.work += self._step_time
+        tracer = self._tracer
+        runtime = self._runtimes[execution.txn.txn_id]
+        txn_id = runtime.txn_id
+        if tracer is not None:
+            tracer.emit(
+                "step_complete",
+                now,
+                txn_id,
+                serial=execution.serial,
+                mode=execution.mode.value,
+                pos=pos,
+                data={"page": page, "write": is_write},
             )
-        ):
-            changed = True
+        # AccessIndex.add_read: the earliest position per page, and the
+        # page's reader set.
+        index = self._index
+        reads = index._txn_reads.get(txn_id)
+        if reads is None:
+            reads = index._txn_reads[txn_id] = {}
+        prior_pos = reads.get(page)
+        if prior_pos is None or position < prior_pos:
+            reads[page] = position
+        page_readers = index._page_readers
+        readers = page_readers.get(page)
+        if readers is None:
+            page_readers[page] = {txn_id}
+        else:
+            readers.add(txn_id)
+        # Read Rule, completion-time half: a write recorded while this
+        # read was in service (after the check in _advance) is missed by
+        # both that check and the writer's Write Rule broadcast (this
+        # read was not yet indexed).  The conflict table is idempotent.
+        changed = False
+        writers = index._page_writers.get(page)
+        if writers:
+            conflicts = runtime.conflicts
+            for writer in writers:
+                if writer != txn_id and conflicts.record(writer, page, position):
+                    changed = True
+                    self._note_conflict(writer, txn_id)
+        # A speculative shadow may have completed a read of a page its
+        # *waited* writer wrote while the read was in service: that
+        # writer's broadcast ran before this read was indexed, and the
+        # table may already know the page (no "change").  The shadow is
+        # exposed to its own wait set; force a rebuild so it is replaced.
+        if not changed and execution.mode is _SPECULATIVE:
+            txn_writes = index._txn_writes
+            for writer in execution.wait_for:
+                writes = txn_writes.get(writer)
+                if writes is not None and page in writes:
+                    changed = True
+                    break
         if changed:
             self._rebuild_speculation(runtime)
-        if not step.is_write:
-            return
-        newly_written = not index.writes_page(txn_id, page)
-        index.add_write(txn_id, page)
-        if not newly_written:
-            return
-        # Write Rule: this transaction's write conflicts with everyone who
-        # already read the page.  This loop iterates the copying accessor
-        # deliberately: rebuild side effects below schedule events, so the
-        # iteration order is part of the deterministic result and must
-        # match the set-copy order the golden reference was recorded under.
-        for reader in index.readers_of(page):
-            if reader == txn_id:
-                continue
-            other = self._runtimes.get(reader)
-            if other is None:
-                continue
-            position = index.first_read_position(reader, page)
-            if other.conflicts.record(txn_id, page, position):
-                self._rebuild_speculation(other)
+        if is_write:
+            written = index._txn_writes.get(txn_id)
+            newly_written = written is None or page not in written
+            index.add_write(txn_id, page)
+            if newly_written:
+                # Write Rule: this first write of the page conflicts with
+                # everyone who already read it.  The loop iterates a
+                # *copy* of the reader set on purpose: rebuild side
+                # effects schedule events, so the iteration order is part
+                # of the deterministic result and must match the set-copy
+                # order the golden reference was recorded under.
+                runtimes = self._runtimes
+                for reader in index.readers_of(page):
+                    if reader == txn_id:
+                        continue
+                    other = runtimes.get(reader)
+                    if other is None:
+                        continue
+                    reader_pos = index.first_read_position(reader, page)
+                    if other.conflicts.record(txn_id, page, reader_pos):
+                        self._note_conflict(txn_id, reader)
+                        self._rebuild_speculation(other)
+        if execution.state is _RUNNING:
+            self._advance(execution)
+
+    def _note_conflict(self, writer: int, reader: int) -> None:
+        """Add ``reader`` to the reverse conflict index entry of ``writer``.
+
+        Called wherever a conflict table records (or moves) a conflict,
+        so at ``writer``'s commit the entry names every runtime whose
+        table may hold a record for it (a superset: entries are dropped
+        only at that commit).
+        """
+        readers = self._conflict_readers.get(writer)
+        if readers is None:
+            self._conflict_readers[writer] = {reader}
+        else:
+            readers.add(reader)
 
     # ------------------------------------------------------------------
     # speculation maintenance
@@ -523,7 +620,25 @@ class SCCProtocolBase(CCProtocol):
         self._termination.on_finished(runtime)
 
     def commit_transaction(self, runtime: SCCTxnRuntime) -> None:
-        """Apply the Commit Rule for ``runtime``'s finished optimistic shadow."""
+        """Apply the Commit Rule for ``runtime``'s finished optimistic shadow.
+
+        The effects sweep visits the active transactions in their
+        registration order.  With a time-invariant coverage policy it
+        skips every transaction that is not a *candidate*: a reader of an
+        installed page (the access index), or a transaction whose
+        conflict table may name the committer (the reverse conflict
+        index).  For any other transaction no shadow read an installed
+        page and no record names the committer, so
+        :meth:`_process_commit_effects` would change nothing.  Page
+        readers alone do not suffice: the Read Rule records a conflict
+        when a read is *requested*, and the read joins the index only at
+        completion, so a reader whose read is in service when the writer
+        commits is found through the reverse index only.  (Under the
+        current Read and Write Rules every indexed reader of a page the
+        committer wrote also has such a record, so the page readers add
+        no candidate today; they keep the sweep sound should a rule stop
+        recording one.)
+        """
         shadow = runtime.optimistic
         if shadow.state is not ExecutionState.FINISHED:
             raise ProtocolError(
@@ -538,10 +653,25 @@ class SCCProtocolBase(CCProtocol):
                 self._emit("kill", committer_id, speculative)
             self._kill(speculative)
         runtime.speculatives.clear()
-        del self._runtimes[committer_id]
-        self._index.remove_txn(committer_id)
+        runtimes = self._runtimes
+        del runtimes[committer_id]
+        index = self._index
+        index.remove_txn(committer_id)
+        candidates = self._conflict_readers.pop(committer_id, None)
         self._termination.on_departure(runtime)
-        for other in list(self._runtimes.values()):
+        if self._coverage_time_invariant:
+            if candidates is None:
+                candidates = set()
+            for page in write_pages:
+                candidates.update(index.readers_view(page))
+            affected = (
+                [rt for tid, rt in runtimes.items() if tid in candidates]
+                if candidates
+                else []
+            )
+        else:
+            affected = list(runtimes.values())
+        for other in affected:
             self._process_commit_effects(other, committer_id, write_pages)
         self._termination.on_system_change()
 
@@ -567,8 +697,10 @@ class SCCProtocolBase(CCProtocol):
         killed, no promotion) and the coverage policy is time-invariant.
         New conflicts always trigger an eager rebuild at detection time
         (Read/Write Rules) and shadow exposure to its *own* wait set is
-        reaped eagerly in ``after_step``, so an unchanged runtime's desired
-        coverage is exactly its current coverage.
+        reaped eagerly in ``_complete_step``, so an unchanged runtime's
+        desired coverage is exactly its current coverage.  The same
+        argument lets :meth:`commit_transaction` skip non-candidate
+        runtimes altogether.
         """
         changed = runtime.conflicts.remove_writer(committer_id)
         for writer, speculative in list(runtime.speculatives.items()):

@@ -95,11 +95,14 @@ class SCCkS(SCCProtocolBase):
             budget = self.budget_for(runtime.spec)
         if budget == 0:
             return []
-        # Fast path: the conflict table's cached sort is by
-        # (first_pos, writer), which is exactly LBFO's order — borrow it
-        # read-only and skip both the re-sort and the defensive copy on
-        # the default policy.
+        # Fast paths: the conflict table's order is (first_pos, writer),
+        # which is exactly LBFO's order.  A budget of one (SCC-2S, the
+        # default SCC-VW) needs only the minimum; wider budgets borrow the
+        # cached sort read-only, skipping the re-sort and the copy.
         if type(self.replacement) is LatestBlockedFirstOut:
+            if budget == 1:
+                earliest = runtime.conflicts.earliest()
+                return [] if earliest is None else [earliest.writer]
             records = runtime.conflicts._sorted_records()
             selected = records if budget is None else records[:budget]
         else:

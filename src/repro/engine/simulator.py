@@ -164,7 +164,7 @@ class Simulator:
                 fired += 1
                 event.callback(*event.args)
                 if metered:
-                    pending = len(queue)
+                    pending = queue._live  # len(queue), without the frame
                     if pending > peak:
                         peak = pending
             if until is not None and self.now < until:

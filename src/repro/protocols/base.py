@@ -8,10 +8,17 @@ deterministic step program.  The base class owns the step loop:
     _start -> _advance -> [before_step hook] -> resource service ->
     _complete_step -> record access -> [after_step hook] -> _advance ...
 
-``before_step`` lets a protocol block the execution (lock waits, SCC
-blocking rule) or fork shadows (SCC read rule) *before* the access happens;
-``after_step`` lets it react to the access (write-after-read detection).
-When the program is exhausted ``on_finished`` fires (validation/commit).
+``before_step`` lets a protocol block the execution (lock waits) *before*
+the access happens; ``after_step`` lets it react to the access (WAIT-50's
+write-after-read detection).  When the program is exhausted
+``on_finished`` fires (validation/commit).
+
+This generic loop drives OCC, OCC-BC, WAIT-50, 2PL-PA and the serial
+baseline.  The SCC family does not use the two hooks: it overrides
+``_advance`` and ``_complete_step`` with one fused loop that inlines its
+Read, Blocking and Write Rules (see :mod:`repro.core.scc_base`), so
+``before_step``/``after_step`` overrides on an SCC subclass are never
+called.
 
 Stale-callback safety: each execution carries an ``epoch`` bumped on every
 abort/block/resume; a service-completion callback captured under an old
@@ -252,6 +259,8 @@ class CCProtocol(ABC):
         self._resources = None
         self._step_time = 0.0
         self._tracer = None
+        self._sim = None
+        self._db = None
         self._cache_hook_handles()
 
     def _cache_hook_handles(self) -> None:
@@ -267,9 +276,9 @@ class CCProtocol(ABC):
     def bind(self, system: "RTDBSystem") -> None:
         """Attach the protocol to a system model.  Called once by the system.
 
-        Caches the per-event handles the step loop needs (resource manager,
-        step service time, subclass hook methods), so hooks overridden
-        after binding are not picked up.
+        Caches the per-event handles the step loop needs (simulator,
+        database, resource manager, step service time, subclass hook
+        methods), so hooks overridden after binding are not picked up.
 
         Parameters
         ----------
@@ -285,6 +294,8 @@ class CCProtocol(ABC):
         if self.system is not None:
             raise ProtocolError(f"protocol {self.name} is already bound")
         self.system = system
+        self._sim = system.sim
+        self._db = system.db
         self._resources = system.resources
         self._step_time = system.resources.step_service_time
         # The disabled-telemetry contract: tracing costs one attribute
@@ -410,19 +421,7 @@ class CCProtocol(ABC):
             raise ProtocolError(f"cannot advance {execution!r}")
         pos = execution.pos
         if pos >= execution.num_steps:
-            execution.state = ExecutionState.FINISHED
-            execution.epoch += 1
-            tracer = self._tracer
-            if tracer is not None:
-                tracer.emit(
-                    "txn_finish",
-                    system.sim.now,
-                    execution.txn.txn_id,
-                    serial=execution.serial,
-                    mode=execution_mode(execution),
-                    pos=pos,
-                )
-            self._on_finished(execution)
+            self._finish(execution)
             return
         step = execution.txn.steps[pos]
         if not self._before_step(execution, step):
@@ -435,6 +434,22 @@ class CCProtocol(ABC):
         self._resources.request(
             execution, self._complete_step, execution, execution.epoch
         )
+
+    def _finish(self, execution: Execution) -> None:
+        """Mark a RUNNING execution whose program is exhausted FINISHED."""
+        execution.state = ExecutionState.FINISHED
+        execution.epoch += 1
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.emit(
+                "txn_finish",
+                self.system.sim.now,
+                execution.txn.txn_id,
+                serial=execution.serial,
+                mode=execution_mode(execution),
+                pos=execution.pos,
+            )
+        self._on_finished(execution)
 
     def _complete_step(self, execution: Execution, epoch: int) -> None:
         """Record a serviced access and keep the execution going.

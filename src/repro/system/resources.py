@@ -111,9 +111,11 @@ class InfiniteResources(ResourceManager):
         sim = self._sim
         if sim is None:
             raise ConfigurationError("resource manager is not bound to a simulator")
-        # step_service_time is validated positive at construction, so the
-        # schedule() delay check is redundant here; push directly.
-        sim.schedule(self.cpu_time + self.io_time, on_done, *args)
+        # step_service_time is validated positive at construction, so
+        # Simulator.schedule's delay check is redundant here: push
+        # straight onto the event queue (this runs once per page access).
+        delay = self.cpu_time + self.io_time
+        sim._queue.push_at(sim.now + delay, 0, on_done, args)
 
 
 class FiniteResources(ResourceManager):

@@ -98,6 +98,40 @@ def run_scenario(
     return system
 
 
+def build_hotspot_system(
+    protocol_spec: str,
+    num_transactions: int = 300,
+    arrival_rate: float = 150.0,
+    resources: Optional[ResourceManager] = None,
+) -> RTDBSystem:
+    """A loaded ``flash-sale-hotspot`` system at the scenario's time scale.
+
+    The workload is the one a default sweep cell of that scenario runs,
+    cut to ``num_transactions``; history recording is on so callers can
+    check serializability.  Call ``system.run()`` to simulate it.
+    """
+    from repro.engine.rng import RandomStreams
+    from repro.protocols.registry import parse_protocol_spec
+    from repro.workloads.generator import build_generator
+    from repro.workloads.scenarios import get_scenario
+
+    config = get_scenario("flash-sale-hotspot").to_config(
+        num_transactions=num_transactions, warmup_commits=0
+    )
+    system = RTDBSystem(
+        protocol=parse_protocol_spec(protocol_spec).build(),
+        num_pages=config.num_pages,
+        resources=resources
+        or InfiniteResources(cpu_time=config.cpu_time, io_time=config.io_time),
+        metrics=MetricsCollector(warmup_commits=0),
+        record_history=True,
+    )
+    streams = RandomStreams(config.seed).spawn(0)
+    generator = build_generator(config, arrival_rate, streams)
+    system.load_workload(generator.generate(num_transactions))
+    return system
+
+
 def commit_time_of(system: RTDBSystem, txn_id: int) -> float:
     """Commit time of one transaction from the recorded history."""
     assert system.history is not None

@@ -35,6 +35,17 @@ class TestConflictTable:
         table.record(7, page=12, position=2)
         assert [r.writer for r in table.records()] == [6, 7, 5]
 
+    def test_earliest_is_the_sorted_head(self):
+        table = ConflictTable()
+        assert table.earliest() is None
+        table.record(5, page=10, position=3)
+        table.record(7, page=12, position=1)
+        table.record(6, page=11, position=1)  # ties on position: lower writer
+        assert table.earliest().writer == 6
+        assert table.earliest() is table.records()[0]
+        table.remove_writer(6)
+        assert table.earliest().writer == 7
+
     def test_remove_writer(self):
         table = ConflictTable()
         table.record(5, page=10, position=3)
@@ -78,10 +89,3 @@ class TestAccessIndex:
         assert index.writers_of(11) == set()
         assert index.written_by(1) == set()
         index.remove_txn(1)  # idempotent
-
-    def test_blocked_pages_for_wait_set(self):
-        index = AccessIndex()
-        index.add_write(1, 10)
-        index.add_write(2, 11)
-        index.add_write(3, 12)
-        assert index.blocked_page_for(9, [1, 2]) == {10, 11}
