@@ -12,12 +12,18 @@ fan-out, and chunked NDJSON streaming.
   submission.
 * ``stream_throughput`` — draining a cached grid's full event stream;
   ``extra_info`` records events per second.
+* ``worker_scaling`` — a fresh (uncached) 8-cell grid computed on
+  ``workers=2``, each worker's cells in its own child process;
+  ``extra_info`` records the same grid's ``workers=1`` time and the
+  ratio.  No ratio is asserted: a 1-core host has nothing to scale onto.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -137,3 +143,48 @@ def test_gateway_stream_throughput(benchmark, cached_gateway):
     benchmark.extra_info["events_per_s"] = round(
         len(events) / benchmark.stats.stats.mean, 1
     )
+
+
+# 4 protocols x 2 rates = 8 fresh cells at benchmark scale.
+SCALING_SPEC = {
+    "schema": 1,
+    "protocols": ["scc-2s", "scc-vw", "occ-bc", "wait-50"],
+    "arrival_rates": [70.0, 150.0],
+    "replications": 1,
+    "num_transactions": 600,
+    "warmup_commits": 60,
+    "seed": 1995,
+}
+
+
+def _time_fresh_grid(root, workers: int) -> float:
+    """Seconds from submit to done for SCALING_SPEC on a fresh store."""
+    app = GatewayApp(
+        store=str(root / f"store-{workers}.jsonl"),
+        workers=workers,
+        workdir=str(root / f"work-{workers}"),
+    )
+    try:
+        started = time.perf_counter()
+        accepted = app.submit(SCALING_SPEC, client="bench")
+        status = app._get(accepted["id"]).wait(timeout=600)
+        elapsed = time.perf_counter() - started
+    finally:
+        app.close()
+    assert status == "done"
+    assert accepted["enqueued_cells"] == 8
+    return elapsed
+
+
+def test_gateway_worker_scaling(benchmark, tmp_path_factory):
+    one_s = _time_fresh_grid(tmp_path_factory.mktemp("scaling-1"), workers=1)
+    two_s = benchmark.pedantic(
+        lambda: _time_fresh_grid(tmp_path_factory.mktemp("scaling-2"), workers=2),
+        rounds=1,
+        iterations=1,
+    )
+    benchmark.extra_info["cells"] = 8
+    benchmark.extra_info["workers_1_s"] = round(one_s, 3)
+    benchmark.extra_info["workers_2_s"] = round(two_s, 3)
+    benchmark.extra_info["speedup"] = round(one_s / two_s, 3)
+    benchmark.extra_info["cores"] = os.cpu_count() or 1

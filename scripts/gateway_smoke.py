@@ -18,7 +18,8 @@ SIGTERM — and holds it to the determinism bar:
 4. **SIGTERM drain** — with a fresh experiment mid-flight, SIGTERM the
    server: submissions during the drain get an honest 503, the open
    event stream terminates cleanly at ``experiment_interrupted``,
-   leased cells persist to the store, and the process exits 0.
+   leased cells persist to the store, the process exits 0, and every
+   worker child process ``/healthz`` listed is gone.
 
 Usage::
 
@@ -190,6 +191,8 @@ def main(argv=None) -> int:
             time.sleep(0.05)
         else:
             return fail("no cell started within 60s")
+        child_pids = [worker["pid"]
+                      for worker in alice.health()["workers"].values()]
         server.send_signal(signal.SIGTERM)
         got_503 = False
         end = time.monotonic() + 30
@@ -218,6 +221,12 @@ def main(argv=None) -> int:
         code = server.wait(timeout=120)
         if code != 0:
             return fail(f"server exited {code} after SIGTERM")
+        for pid in child_pids:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                continue
+            return fail(f"worker child {pid} outlived the server")
         completed = sum(
             1 for e in stream_events if e["kind"] == "cell_outcome"
         )
@@ -228,7 +237,8 @@ def main(argv=None) -> int:
                         f"{total}-cell grid plus {completed} leased cells "
                         "finished during the drain")
         print(f"      503 during drain, {completed} leased cells persisted, "
-              "stream closed at experiment_interrupted, exit 0")
+              "stream closed at experiment_interrupted, exit 0, "
+              f"{len(child_pids)} worker children gone")
     finally:
         if server.poll() is None:
             server.kill()

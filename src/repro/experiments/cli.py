@@ -59,8 +59,9 @@ without re-simulating anything.
 long-running HTTP service accepting ``ExperimentSpec`` JSON on
 ``POST /experiments``, deduplicating cells by fingerprint against the
 shared ``--store``, and streaming sweep events per experiment on
-``GET /experiments/{id}/events``.  ``--workers`` sizes the worker-thread
-pool, ``--max-queued-cells`` / ``--max-experiments`` set the per-client
+``GET /experiments/{id}/events``.  ``--workers`` sets how many cells
+compute at once (each worker forks one child process),
+``--max-queued-cells`` / ``--max-experiments`` set the per-client
 quotas, and ``--workdir`` persists the job board across restarts.
 SIGTERM drains gracefully (see docs/ARCHITECTURE.md, "Experiment
 gateway").

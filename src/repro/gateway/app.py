@@ -22,11 +22,17 @@ the existing platform pieces into one long-running service:
   event stream), and a cell another experiment is *currently computing*
   is never enqueued twice: the second experiment subscribes to the
   in-flight cell and receives the same outcome when it lands.
-* **Workers** — a small pool of in-process worker threads mirrors the
-  distributed executor's host loop (claim from the board, compute via
-  the executor layer's cell primitive
-  :func:`~repro.experiments.parallel._execute_cell`, mark the board)
-  against the shared store.  Worker failures feed the
+* **Workers** — each worker is a supervising thread plus one
+  persistent child process, forked at construction.  The thread mirrors
+  the distributed executor's host loop (claim from the board, publish
+  ``cell_started``, run the ``fault_hook``, mark the board) against the
+  shared store; only the executor layer's cell primitive
+  :func:`~repro.experiments.parallel._execute_cell` crosses into the
+  child, which rebuilds the cell's config and protocol factory from the
+  board payload's spec.  Cells therefore compute on separate cores, not
+  under one interpreter lock.  A child that dies mid-cell resolves the
+  cell as a ``WorkerLost`` failure and is replaced by a fresh fork.
+  Worker failures feed the
   :class:`~repro.gateway.breaker.CircuitBreaker`, which parks a
   repeatedly failing worker — permanently by default, or until the
   breaker's half-open probe when built with ``cooldown_seconds``;
@@ -42,19 +48,29 @@ the existing platform pieces into one long-running service:
   ``experiment_done`` / ``experiment_interrupted``).
 
 Threading model: HTTP handlers (the asyncio event-loop thread) call
-``submit``/``status``/``events_since``; worker threads complete cells.
+``submit``/``status``/``events_since``; worker threads supervise cells.
 The registry lock serializes both sides; per-experiment conditions let
-streams block without holding the registry.
+streams block without holding the registry.  The parent process is the
+only writer of the store and the board: a child receives a board payload
+down its pipe and sends back a
+:class:`~repro.experiments.parallel.CellOutcome`, nothing else.
+Children ignore ``SIGINT``/``SIGTERM`` (the parent owns shutdown, so a
+Ctrl-C cannot kill a cell before :meth:`GatewayApp.drain` persists it)
+and every child has exited once :meth:`GatewayApp.drain` returns.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import tempfile
 import threading
 import time
 import uuid
 from dataclasses import asdict
+from multiprocessing.connection import wait as _wait_ready
+from multiprocessing.util import Finalize
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -118,15 +134,80 @@ class UnknownExperiment(ReproError):
 
 
 class _Worker:
-    """One worker thread's observable state."""
+    """One worker: a supervising thread and the child process it feeds.
 
-    __slots__ = ("id", "state", "cell", "thread")
+    The thread claims, publishes and persists; ``process`` computes the
+    cells it is sent over ``conn``.  ``restarts`` counts the children
+    forked to replace one that died.
+    """
+
+    __slots__ = ("id", "state", "cell", "thread", "process", "conn", "restarts")
 
     def __init__(self, worker_id: str) -> None:
         self.id = worker_id
         self.state = "idle"  # idle | busy | parked | stopped
         self.cell: Optional[str] = None
         self.thread: Optional[threading.Thread] = None
+        self.process: Optional[multiprocessing.process.BaseProcess] = None
+        self.conn: Optional[Any] = None
+        self.restarts = 0
+
+
+def _compute_payload(payload: dict) -> CellOutcome:
+    """Run one claimed board payload's cell from its JSON spec alone."""
+
+    def run(cell: SweepCell):
+        spec = ExperimentSpec.from_dict(payload["spec"])
+        factories, _spec_map = normalize_protocols(spec.protocols)
+        return run_instrumented(
+            factories[cell.protocol],
+            spec.to_config(),
+            arrival_rate=cell.arrival_rate,
+            replication=cell.replication,
+        )
+
+    return _execute_cell(SweepCell(**payload["cell"]), run)
+
+
+def _child_main(conn, inherited: List[Any]) -> None:
+    """Compute loop of a worker's child: payload in, outcome out.
+
+    ``inherited`` are the parent-side pipe ends the fork copied; closing
+    them lets every other pipe see EOF when its own endpoints go.  The
+    loop ends on ``None`` or EOF, and multiprocessing exits the child
+    with ``os._exit``, so the store and board handles it inherited are
+    never touched.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        if payload is None:
+            return
+        conn.send(_compute_payload(payload))
+
+
+def _stop_children(workers: List[_Worker], grace: float = 5.0) -> None:
+    """Ask every worker's child to exit; kill any still alive after ``grace``."""
+    workers = [worker for worker in workers if worker.process is not None]
+    for worker in workers:
+        try:
+            worker.conn.send(None)
+        except (OSError, ValueError):
+            pass  # already dead, or the pipe was closed
+    deadline = time.monotonic() + grace
+    for worker in workers:
+        process = worker.process
+        process.join(max(0.0, deadline - time.monotonic()))
+        if process.exitcode is None:
+            process.kill()
+            process.join()
+        worker.conn.close()
 
 
 class ExperimentState:
@@ -325,7 +406,8 @@ class GatewayApp:
         store_backend: Optional backend name forcing how a path-given
             ``store`` opens (see
             :func:`~repro.results.backends.open_store`).
-        workers: Worker-thread pool size.
+        workers: Worker pool size: how many cells compute at once, each
+            in its worker's own child process.
         workdir: Directory for the gateway's job board; ``None`` creates
             a private temp dir (removed by :meth:`close`).  A
             caller-supplied workdir is kept, so the board's queue state
@@ -340,11 +422,14 @@ class GatewayApp:
             parked worker keeps polling and wakes for the breaker's
             half-open probe claim once the cooldown elapses.
         poll_seconds: Worker idle-claim poll interval.
-        lease_seconds: Board lease stamped on claims.  Gateway workers
-            are threads (they cannot vanish silently), so leases exist
-            for board-state introspection rather than failover.
-        fault_hook: Test seam called in the worker as ``hook(cell)``
-            right before a cell runs; raising fails the cell.
+        lease_seconds: Board lease stamped on claims.  The supervising
+            thread, not the child, holds the claim: when a child dies
+            mid-cell the thread fails the cell as ``WorkerLost`` and forks
+            a replacement, so leases exist for board-state introspection
+            rather than failover.
+        fault_hook: Test seam called in the worker's supervising thread
+            (this process) as ``hook(cell)`` right before the cell is
+            sent to the child; raising fails the cell.
     """
 
     def __init__(
@@ -394,15 +479,25 @@ class GatewayApp:
         # *before* any worker starts claiming, so no claim can ever find
         # a cell with no registered owner.
         self._recover_orphans()
-        self._workers: List[_Worker] = []
-        for i in range(workers):
-            worker = _Worker(f"gw-{i}")
+        self._workers = [_Worker(f"gw-{i}") for i in range(workers)]
+        # Children are forked here, before any worker thread exists; a
+        # replacement for a dead child is forked under the same lock, so
+        # no fork ever copies another pipe's half-built endpoints.
+        self._fork = multiprocessing.get_context("fork")
+        self._fork_lock = threading.Lock()
+        # Children ignore SIGTERM, so multiprocessing's exit hook could
+        # not terminate them; this finalizer (also run by drain) stops
+        # them before that hook joins them, even if close() is skipped.
+        self._reap_children = Finalize(
+            self, _stop_children, args=(self._workers,), exitpriority=0
+        )
+        for worker in self._workers:
+            self._spawn(worker)
+        for worker in self._workers:
             worker.thread = threading.Thread(
                 target=self._worker_loop, args=(worker,),
                 name=f"gateway-{worker.id}", daemon=True,
             )
-            self._workers.append(worker)
-        for worker in self._workers:
             worker.thread.start()
 
     # ------------------------------------------------------------------
@@ -553,8 +648,8 @@ class GatewayApp:
 
         A gateway drained (or killed) with queued work leaves those
         cells ``pending`` — or ``claimed`` under a lease nobody will
-        ever extend, since gateway workers are threads of the dead
-        process — on the board file.  Runs once at startup, before the
+        ever extend, since gateway workers die with their process — on
+        the board file.  Runs once at startup, before the
         worker pool exists: every orphan's payload carries its client
         and the full experiment spec, so the cells re-register in
         ``self._cells`` under their original experiment ids, visible in
@@ -631,18 +726,81 @@ class GatewayApp:
     # worker pool
     # ------------------------------------------------------------------
 
-    def _runner(self, exp: ExperimentState) -> Callable:
-        def run(cell: SweepCell):
-            if self._fault_hook is not None:
-                self._fault_hook(cell)
-            return run_instrumented(
-                exp.factories[cell.protocol],
-                exp.config,
-                arrival_rate=cell.arrival_rate,
-                replication=cell.replication,
+    def _spawn(self, worker: _Worker) -> None:
+        """Fork ``worker``'s compute child and keep the parent pipe end."""
+        with self._fork_lock:
+            parent_end, child_end = self._fork.Pipe()
+            inherited = [parent_end] + [
+                other.conn for other in self._workers if other.conn is not None
+            ]
+            process = self._fork.Process(
+                target=_child_main,
+                args=(child_end, inherited),
+                name=f"repro-gateway-{worker.id}",
+                daemon=True,
             )
+            process.start()
+            child_end.close()
+            worker.process, worker.conn = process, parent_end
 
-        return run
+    def _respawn(self, worker: _Worker) -> None:
+        """Reap a dead child and fork its replacement."""
+        dead = worker.process
+        dead.join()
+        worker.conn.close()
+        worker.conn = None
+        self._spawn(worker)
+        worker.restarts += 1
+        _log.warning(
+            "worker %s lost its compute process (pid %s, exit code %s); "
+            "forked pid %s",
+            worker.id, dead.pid, dead.exitcode, worker.process.pid,
+        )
+
+    def _compute(
+        self, worker: _Worker, cell: SweepCell, payload: dict
+    ) -> CellOutcome:
+        """Run the fault hook here, then the cell in the worker's child.
+
+        A child that dies before it answers — killed, or out of memory —
+        resolves the cell as a ``WorkerLost`` failure and is replaced,
+        so the thread never waits on a dead pipe.
+        """
+        if not worker.process.is_alive():
+            self._respawn(worker)  # it died idle: nothing to lose
+        if self._fault_hook is not None:
+            try:
+                self._fault_hook(cell)
+            except Exception as exc:  # noqa: BLE001 - the hook fails the cell
+                return CellOutcome(
+                    cell=cell,
+                    summary=None,
+                    error=CellError.from_exception(exc),
+                    elapsed=0.0,
+                )
+        process = worker.process
+        try:
+            worker.conn.send(payload)
+            if worker.conn in _wait_ready([worker.conn, process.sentinel]):
+                return worker.conn.recv()
+        except (EOFError, OSError):
+            pass
+        if not self._stop.is_set():  # a drain reaps children; fork none
+            self._respawn(worker)
+        return CellOutcome(
+            cell=cell,
+            summary=None,
+            error=CellError(
+                exc_type="WorkerLost",
+                message=(
+                    f"worker {worker.id}'s compute process (pid {process.pid}) "
+                    f"exited with code {process.exitcode} before delivering "
+                    f"cell {cell.describe()}"
+                ),
+                traceback="",
+            ),
+            elapsed=0.0,
+        )
 
     def _worker_loop(self, worker: _Worker) -> None:
         board = JobBoard(self.board_path)
@@ -696,7 +854,7 @@ class GatewayApp:
                 worker.state = "busy"
                 worker.cell = cell.describe()
                 exp.publish_started(cell)
-                outcome = _execute_cell(cell, self._runner(exp))
+                outcome = self._compute(worker, cell, payload)
                 self._complete_cell(board, worker, index, outcome)
                 worker.state = "idle"
                 worker.cell = None
@@ -898,7 +1056,12 @@ class GatewayApp:
                     for state in EXPERIMENT_STATES
                 },
                 "workers": {
-                    worker.id: {"state": worker.state, "cell": worker.cell}
+                    worker.id: {
+                        "state": worker.state,
+                        "cell": worker.cell,
+                        "pid": worker.process.pid,
+                        "restarts": worker.restarts,
+                    }
                     for worker in self._workers
                 },
                 "board": self._board.counts() if not self._closed else None,
@@ -932,9 +1095,10 @@ class GatewayApp:
         """Graceful shutdown: finish leased cells, persist, reject new work.
 
         Submissions raise :class:`GatewayDraining` (HTTP 503) from the
-        moment the drain starts.  Worker threads finish the cell they
-        hold — its outcome is appended to the store and marked on the
-        board — then exit without claiming more; queued cells stay
+        moment the drain starts.  Workers finish the cell they hold —
+        its outcome is appended to the store and marked on the board —
+        then exit without claiming more, and their child processes exit
+        with them; queued cells stay
         ``pending`` on the board file, which survives in ``workdir``,
         and a replacement instance started on the same workdir adopts
         them at startup (see :meth:`_recover_orphans`).  Experiments
@@ -955,6 +1119,9 @@ class GatewayApp:
                 worker.thread.join(timeout)
             if worker.state not in ("parked",):
                 worker.state = "stopped"
+        # Every thread has persisted its cell, so the children are idle;
+        # this includes the child of a permanently parked worker.
+        self._reap_children()
         with self._lock:
             running = [
                 exp

@@ -9,7 +9,7 @@ client both see events the moment they happen).
 
 Blocking application calls (SQLite board writes, store lookups) run in
 the default executor via :func:`asyncio.to_thread`, keeping the event
-loop responsive while worker threads grind through cells.
+loop responsive while the workers' child processes compute cells.
 
 Shutdown is the gateway's graceful drain: ``SIGTERM``/``SIGINT`` (or
 :meth:`GatewayServer.request_shutdown`) stops accepting connections,
